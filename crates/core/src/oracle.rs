@@ -37,12 +37,11 @@
 //! inside the same checksummed [`io_guard`] container as every other
 //! artifact; at the hot-key scale the paper's workloads imply, the JSON
 //! encoding was ~5× the bytes and dominated precompute I/O.
-//! [`OdOracle::load`] sniffs the payload magic and falls back to the
-//! original JSON encoding, so artifacts written before the binary format
-//! keep loading unchanged. The embedded version field is checked in both
-//! encodings; the rebuilt [`TimeSlots`] goes back through its validating
-//! constructor so a hand-edited `dt` cannot smuggle in a skewed weekly
-//! wrap.
+//! [`OdOracle::load`] accepts only that encoding: a payload without the
+//! magic is a typed [`OracleError::Format`]. The embedded version field
+//! is checked, and the rebuilt [`TimeSlots`] goes back through its
+//! validating constructor so a hand-edited `dt` cannot smuggle in a
+//! skewed weekly wrap.
 
 use crate::features::FeatureContext;
 use crate::io_guard::{self, IoGuardError};
@@ -62,7 +61,8 @@ pub enum OracleError {
     /// The guarded read or write failed (missing file, checksum mismatch,
     /// truncated artifact — see [`IoGuardError::is_corruption`]).
     Io(IoGuardError),
-    /// The artifact parsed as JSON but not as an oracle.
+    /// The payload is not a well-formed binary oracle (wrong magic,
+    /// truncated, or inconsistent header).
     Format(String),
     /// The artifact is from an incompatible format version.
     Version {
@@ -246,8 +246,7 @@ pub struct OdOracle {
 }
 
 /// Payload magic of the binary oracle encoding (inside the checksummed
-/// container). A payload that does not start with it is parsed as the
-/// legacy JSON encoding.
+/// container). A payload that does not start with it is rejected.
 const BINARY_MAGIC: [u8; 8] = *b"DPODORC2";
 
 /// Bytes per binary record: `(origin_cell, dest_cell, week_slot): u32`
@@ -410,35 +409,18 @@ impl OdOracle {
         Ok(())
     }
 
-    /// Writes the legacy JSON encoding (same checksummed container).
-    /// Kept for interop tooling and for exercising the fallback path;
-    /// new artifacts should use [`OdOracle::save`].
-    pub fn save_json(&self, path: &std::path::Path) -> Result<(), OracleError> {
-        let json = serde_json::to_string(self).map_err(|e| OracleError::Format(e.to_string()))?;
-        io_guard::write_checksummed(path, json.as_bytes())?;
-        Ok(())
-    }
-
     /// Reads and verifies an artifact: io_guard checksum first (corrupt
     /// bytes surface as [`OracleError::Io`] with
-    /// [`IoGuardError::is_corruption`] true), then encoding by payload
-    /// magic — binary if it leads with `DPODORC2`, legacy JSON otherwise
-    /// — then format version.
+    /// [`IoGuardError::is_corruption`] true), then the `DPODORC2` payload
+    /// magic ([`OracleError::Format`] without it), then format version.
     pub fn load(path: &std::path::Path) -> Result<OdOracle, OracleError> {
         let bytes = io_guard::read_checksummed(path)?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return OdOracle::from_binary(&bytes);
+        if !bytes.starts_with(&BINARY_MAGIC) {
+            return Err(OracleError::Format(
+                "payload does not start with the DPODORC2 magic".into(),
+            ));
         }
-        let json = String::from_utf8(bytes)
-            .map_err(|_| OracleError::Format("artifact is not UTF-8".into()))?;
-        let oracle: OdOracle =
-            serde_json::from_str(&json).map_err(|e| OracleError::Format(e.to_string()))?;
-        if oracle.version != ORACLE_VERSION {
-            return Err(OracleError::Version {
-                found: oracle.version,
-            });
-        }
-        Ok(oracle)
+        OdOracle::from_binary(&bytes)
     }
 }
 
@@ -674,24 +656,17 @@ mod tests {
     }
 
     #[test]
-    fn json_artifacts_still_load_via_fallback() {
-        let (ds, ctx, model) = fixture();
-        let spec = PrecomputeSpec {
-            cells: 2,
-            slots: 2,
-            cell_meters: 500.0,
-        };
-        let oracle = precompute(&model, &ctx, &ds, &spec, "fp".into(), 1);
-        let dir = std::env::temp_dir().join(format!("deepod-oracle-json-{}", std::process::id()));
+    fn payload_without_magic_is_a_format_error() {
+        let dir = std::env::temp_dir().join(format!("deepod-oracle-magic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("oracle-legacy.json");
-        oracle.save_json(&path).expect("save legacy artifact");
-        let loaded = OdOracle::load(&path).expect("JSON fallback must keep loading");
-        assert_eq!(loaded.model_fingerprint, oracle.model_fingerprint);
-        assert_eq!(loaded.entries.len(), oracle.entries.len());
-        for (a, b) in loaded.entries.iter().zip(&oracle.entries) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.eta_seconds.to_bits(), b.eta_seconds.to_bits());
+        let path = dir.join("oracle.bin");
+        // A well-checksummed container whose payload is not a binary
+        // oracle (here: JSON text) is malformed, not corrupt.
+        io_guard::write_checksummed(&path, br#"{"version":1,"entries":[]}"#)
+            .expect("write artifact");
+        match OdOracle::load(&path) {
+            Err(OracleError::Format(why)) => assert!(why.contains("DPODORC2"), "{why}"),
+            other => panic!("a payload without the magic must fail as Format, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,19 +1,14 @@
-//! Inference-only quantized model: the serving hot path of Alg. 1's
-//! `Estimation` (M_O + M_E) with per-row int8 MLP weights and a tape-free
-//! forward pass.
+//! Per-row int8 linear layers: the quantized half of the
+//! [`crate::InferencePlan`]'s linear-layer type.
 //!
-//! [`QuantizedModel`] is derived from a trained [`DeepOdModel`] by
-//! [`QuantizedModel::from_model`]: the three MLPs on the estimation path
-//! (the external encoder's `ocode` MLP, MLP1 producing `code`, and the
-//! M_E head) are quantized per row via [`deepod_tensor::kernels`] —
-//! int8 weights, f32 accumulation, scale+bias dequantization fused into
-//! the epilogue. Everything whose precision the prediction is sensitive
-//! to stays f32: embeddings, conv kernels, batch-norm statistics, and the
-//! average pool. The forward pass mirrors the graph evaluation of
-//! `OdEncoder::encode` / `ExternalFeaturesEncoder::encode` / `Mlp2::
-//! forward` operation for operation, but without building an autodiff
-//! tape — the per-request `Graph` allocation is the other half of the
-//! f32 path's serving cost.
+//! An [`Int8Linear`] is derived from a trained [`Linear`] by
+//! [`deepod_tensor::kernels::quantize_rows`]: int8 weights in the packed
+//! panel layout [`kernels::pack_quantized`] produces, f32 accumulation,
+//! scale+bias dequantization fused into the epilogue. The int8 plan
+//! quantizes the three MLPs on the estimation path (the external
+//! encoder's `ocode` MLP, MLP1 producing `code`, and the M_E head);
+//! everything whose precision the prediction is sensitive to stays f32:
+//! embeddings, conv kernels, batch-norm statistics, and the average pool.
 //!
 //! Accuracy is *gated*, not assumed: serving selects `--precision int8`
 //! only after the eval-side precision gate confirms the MAPE delta vs the
@@ -22,312 +17,66 @@
 //!
 //! # Determinism
 //!
-//! The quantized path inherits the kernel module's contract: every
+//! The int8 path inherits the kernel module's contract: every
 //! accumulation is ascending-`k` f32 regardless of ISA, so predictions
 //! are bit-stable across machines, thread counts, and batch sizes — the
 //! same guarantee the f32 path gives, at a different (fixed) set of bits.
 
-use crate::features::{EncodedOd, FeatureContext};
-use crate::model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
-use deepod_nn::layers::{BatchNorm2d, Linear, Mlp2};
+use deepod_nn::layers::Linear;
 use deepod_nn::ParamStore;
-use deepod_tensor::kernels;
-use deepod_tensor::{Activation, Tensor};
-use deepod_traffic::NUM_WEATHER_TYPES;
-use serde::{Deserialize, Serialize};
-use std::path::Path;
+use deepod_tensor::{kernels, Activation};
 
 /// A fully-connected layer with per-row int8 weights in the packed panel
-/// layout [`kernels::pack_quantized`] produces; bias stays f32 and is
-/// fused into the dequantization epilogue.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct QuantLinear {
+/// layout; bias stays f32 and is fused into the dequantization epilogue.
+#[derive(Clone, Debug)]
+pub(crate) struct Int8Linear {
     packed: Vec<i8>,
     scales: Vec<f32>,
     bias: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
 }
 
-impl QuantLinear {
-    fn from_linear(store: &ParamStore, l: &Linear) -> Self {
-        let w = store.value(l.w);
-        let qr = kernels::quantize_rows(w.as_slice(), l.out_dim, l.in_dim);
-        QuantLinear {
+impl Int8Linear {
+    /// Quantizes `l`'s current weights per row.
+    pub(crate) fn from_linear(store: &ParamStore, l: &Linear) -> Self {
+        let qr = kernels::quantize_rows(store.value(l.w).as_slice(), l.out_dim, l.in_dim);
+        Int8Linear {
             packed: kernels::pack_quantized(&qr),
             scales: qr.scales,
             bias: store.value(l.b).as_slice().to_vec(),
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
         }
     }
 
-    fn forward(&self, x: &[f32], act: Activation, out: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_dim, "quantized layer input width");
-        kernels::matvec_i8_bias_act(&self.packed, &self.scales, &self.bias, x, act, out);
-    }
-}
-
-/// The two-layer MLP in quantized form: `y = W2q · ReLU(W1q x + b1) + b2`,
-/// matching `Mlp2::forward`'s fused hidden layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct QuantMlp2 {
-    l1: QuantLinear,
-    l2: QuantLinear,
-}
-
-impl QuantMlp2 {
-    fn from_mlp(store: &ParamStore, mlp: &Mlp2) -> Self {
-        QuantMlp2 {
-            l1: QuantLinear::from_linear(store, &mlp.l1),
-            l2: QuantLinear::from_linear(store, &mlp.l2),
-        }
-    }
-
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut hidden = vec![0.0f32; self.l1.out_dim];
-        self.l1.forward(x, Activation::Relu, &mut hidden);
-        let mut out = vec![0.0f32; self.l2.out_dim];
-        self.l2.forward(&hidden, Activation::Identity, &mut out);
+    /// `act(Wq x + b)` into a fresh output vector.
+    pub(crate) fn forward(&self, x: &[f32], act: Activation) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.bias.len()];
+        kernels::matvec_i8_bias_act(&self.packed, &self.scales, &self.bias, x, act, &mut out);
         out
     }
-}
 
-/// Frozen batch-norm statistics for eval-mode application, identical in
-/// arithmetic to `Graph::batch_norm` followed by `Graph::relu`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct BnEval {
-    gamma: Vec<f32>,
-    beta: Vec<f32>,
-    mean: Vec<f32>,
-    var: Vec<f32>,
-    eps: f32,
-}
-
-impl BnEval {
-    fn from_bn(store: &ParamStore, bn: &BatchNorm2d) -> Self {
-        BnEval {
-            gamma: store.value(bn.gamma).as_slice().to_vec(),
-            beta: store.value(bn.beta).as_slice().to_vec(),
-            mean: bn.running_mean.clone(),
-            var: bn.running_var.clone(),
-            eps: bn.eps,
-        }
-    }
-
-    /// In-place `relu(batch_norm(z))` over a `[c, h, w]` tensor. The
-    /// normalization matches the graph's eval formula bit for bit; fusing
-    /// the ReLU is exact (`max` of the identical value).
-    fn apply_relu(&self, z: &mut Tensor) {
-        let (c, h, w) = (z.dim(0), z.dim(1), z.dim(2));
-        let hw = h * w;
-        let data = z.as_mut_slice();
-        for ch in 0..c {
-            let inv_std = 1.0 / (self.var[ch] + self.eps).sqrt();
-            for v in &mut data[ch * hw..(ch + 1) * hw] {
-                *v = (self.gamma[ch] * ((*v - self.mean[ch]) * inv_std) + self.beta[ch]).max(0.0);
-            }
-        }
-    }
-}
-
-/// The int8 serving artifact: everything `estimate_batch` needs for the
-/// estimation path (M_O + M_E), with the three MLPs quantized.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct QuantizedModel {
-    road_emb: Tensor,
-    slot_emb: Tensor,
-    k1: Tensor,
-    k2: Tensor,
-    k3: Tensor,
-    bn1: BnEval,
-    bn2: BnEval,
-    bn3: BnEval,
-    ext_mlp: QuantMlp2,
-    od_mlp: QuantMlp2,
-    head: QuantMlp2,
-    dtraf: usize,
-    uses_external: bool,
-    embeds_time: bool,
-    y_mean: f32,
-    y_std: f32,
-}
-
-impl QuantizedModel {
-    /// Quantizes a trained model's estimation path. The source model is
-    /// unchanged; the result is a self-contained artifact.
-    pub fn from_model(m: &DeepOdModel) -> QuantizedModel {
-        let store = &m.store;
-        QuantizedModel {
-            road_emb: store.value(m.road_emb.table).clone(),
-            slot_emb: store.value(m.slot_emb.table).clone(),
-            k1: store.value(m.external_enc.k1).clone(),
-            k2: store.value(m.external_enc.k2).clone(),
-            k3: store.value(m.external_enc.k3).clone(),
-            bn1: BnEval::from_bn(store, &m.external_enc.bn1),
-            bn2: BnEval::from_bn(store, &m.external_enc.bn2),
-            bn3: BnEval::from_bn(store, &m.external_enc.bn3),
-            ext_mlp: QuantMlp2::from_mlp(store, &m.external_enc.mlp),
-            od_mlp: QuantMlp2::from_mlp(store, &m.od_enc.mlp),
-            head: QuantMlp2::from_mlp(store, &m.head),
-            dtraf: m.external_enc.dtraf,
-            uses_external: m.od_enc.uses_external(),
-            embeds_time: m.od_enc.embeds_time(),
-            y_mean: m.y_mean,
-            y_std: m.y_std,
-        }
-    }
-
-    /// `ocode`: the external-feature encoding of
-    /// `ExternalFeaturesEncoder::encode`, tape-free. Convolutions,
-    /// batch norm and pooling are exact f32; only the final MLP is int8.
-    fn external_forward(&self, weather_onehot: &[f32], speed_matrix: &Tensor) -> Vec<f32> {
-        let mut z = deepod_nn::conv2d_forward(speed_matrix, &self.k1);
-        self.bn1.apply_relu(&mut z);
-        let mut z = deepod_nn::conv2d_forward(&z, &self.k2);
-        self.bn2.apply_relu(&mut z);
-        let mut z = deepod_nn::conv2d_forward(&z, &self.k3);
-        self.bn3.apply_relu(&mut z);
-
-        // Global average pool per channel, expressed as the same matmul
-        // against a constant 1/(h·w) vector the graph path records.
-        let (h, w) = (z.dim(1), z.dim(2));
-        let zm = z.reshape(&[self.dtraf, h * w]);
-        let ones = Tensor::full(&[h * w, 1], 1.0 / (h * w) as f32);
-        let pooled = zm.matmul(&ones);
-
-        let mut z8 = Vec::with_capacity(NUM_WEATHER_TYPES + self.dtraf);
-        z8.extend_from_slice(weather_onehot);
-        z8.extend_from_slice(pooled.as_slice());
-        self.ext_mlp.forward(&z8)
-    }
-
-    /// Estimation of one pre-encoded OD: `Z⁹ → MLP1 → code → M_E`,
-    /// mirroring `OdEncoder::encode` + the head, then de-standardized.
-    pub fn eval_encoded(&self, od: &EncodedOd) -> f32 {
-        let ds = self.road_emb.dim(1);
-        let mut z9 = Vec::with_capacity(self.od_mlp.l1.in_dim);
-        z9.extend_from_slice(&self.road_emb.as_slice()[od.origin_edge * ds..][..ds]);
-        z9.extend_from_slice(&self.road_emb.as_slice()[od.dest_edge * ds..][..ds]);
-        if self.embeds_time {
-            let dt = self.slot_emb.dim(1);
-            z9.extend_from_slice(&self.slot_emb.as_slice()[od.depart_node * dt..][..dt]);
-        } else {
-            z9.push(od.depart_raw);
-        }
-        if self.uses_external {
-            let ocode = self.external_forward(&od.weather_onehot, &od.speed_matrix);
-            z9.extend_from_slice(&ocode);
-        }
-        z9.extend_from_slice(&[od.r_start, od.r_end, od.depart_rem]);
-
-        let code = self.od_mlp.forward(&z9);
-        let y = self.head.forward(&code)[0];
-        (y * self.y_std + self.y_mean).max(0.0)
-    }
-
-    fn answer(
-        &self,
-        ctx: &FeatureContext,
-        net: &deepod_roadnet::RoadNetwork,
-        req: &PredictRequest,
-    ) -> Result<PredictResponse, ModelError> {
-        let eta_seconds = match req {
-            PredictRequest::Raw(od) => {
-                let enc = ctx
-                    .encode_od(net, od)
-                    .ok_or(ModelError::UnmatchedEndpoints)?;
-                self.eval_encoded(&enc)
-            }
-            PredictRequest::Encoded(enc) => self.eval_encoded(enc),
-        };
-        Ok(PredictResponse { eta_seconds })
-    }
-
-    /// Batched estimation with the same contract as
-    /// [`DeepOdModel::estimate_batch`]: per-request failures, contiguous
-    /// spans in span order, bit-identical results for any
-    /// `(threads, batch size)`. The quantized forward is stateless, so
-    /// workers share `self` with no per-span clone at all.
-    pub fn estimate_batch(
-        &self,
-        ctx: &FeatureContext,
-        net: &deepod_roadnet::RoadNetwork,
-        reqs: &[PredictRequest],
-        threads: usize,
-    ) -> Vec<Result<PredictResponse, ModelError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut t = deepod_tensor::parallel::resolve_threads(threads)
-            .min(reqs.len())
-            .max(1);
-        if threads == 0 {
-            // Default-threaded serving never fans out wider than the
-            // machine (same clamp as Tensor::matmul).
-            t = t.min(deepod_tensor::parallel::hardware_parallelism());
-        }
-        deepod_tensor::parallel::map_ranges(reqs.len(), t, |span| {
-            // Same out-of-contract degradation as DeepOdModel: an empty
-            // slice, not a panic, if a span is ever out of bounds.
-            reqs.get(span)
-                .unwrap_or(&[])
-                .iter()
-                .map(|r| self.answer(ctx, net, r))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Serialized artifact size in bytes (reported by serving metrics).
-    pub fn size_bytes(&self) -> usize {
-        let tensors = [&self.road_emb, &self.slot_emb, &self.k1, &self.k2, &self.k3];
-        let f32_bytes: usize = tensors.iter().map(|t| t.numel() * 4).sum();
-        let q_bytes = [&self.ext_mlp, &self.od_mlp, &self.head]
-            .iter()
-            .map(|m| {
-                m.l1.packed.len()
-                    + m.l2.packed.len()
-                    + (m.l1.scales.len() + m.l1.bias.len() + m.l2.scales.len() + m.l2.bias.len())
-                        * 4
-            })
-            .sum::<usize>();
-        f32_bytes + q_bytes
-    }
-
-    /// Writes the artifact through the checksummed io_guard envelope, so
-    /// a torn or corrupt file is rejected at load instead of serving
-    /// garbage predictions.
-    pub fn save_to(&self, path: &Path) -> Result<(), ModelError> {
-        let json =
-            serde_json::to_string(self).map_err(|e| ModelError::Serialization(e.to_string()))?;
-        crate::io_guard::write_checksummed(path, json.as_bytes())?;
-        Ok(())
-    }
-
-    /// Loads a checksummed artifact written by [`Self::save_to`].
-    pub fn load_from(path: &Path) -> Result<Self, ModelError> {
-        let bytes = crate::io_guard::read_checksummed(path)?;
-        let text =
-            String::from_utf8(bytes).map_err(|e| ModelError::Serialization(e.to_string()))?;
-        serde_json::from_str(&text).map_err(|e| ModelError::Serialization(e.to_string()))
+    /// Bytes of weights, scales and bias.
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.packed.len() + (self.scales.len() + self.bias.len()) * 4
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ablation::EmbeddingInit;
+    use crate::ablation::{EmbeddingInit, Variant};
     use crate::config::DeepOdConfig;
+    use crate::features::FeatureContext;
+    use crate::model::{DeepOdModel, ModelError, PredictRequest};
+    use crate::plan::{InferencePlan, Precision};
     use deepod_roadnet::CityProfile;
     use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
 
-    fn tiny_setup() -> (CityDataset, FeatureContext, DeepOdModel) {
+    fn tiny_setup_with(
+        variant: Variant,
+        init: EmbeddingInit,
+    ) -> (CityDataset, FeatureContext, DeepOdModel) {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 40));
         let cfg = DeepOdConfig {
-            init: EmbeddingInit::Random,
+            init,
+            variant,
             ds: 6,
             dt_dim: 6,
             d1m: 8,
@@ -347,18 +96,31 @@ mod tests {
         (ds, ctx, model)
     }
 
+    fn tiny_setup() -> (CityDataset, FeatureContext, DeepOdModel) {
+        tiny_setup_with(Variant::Full, EmbeddingInit::Random)
+    }
+
+    fn raw_reqs(ds: &CityDataset, n: usize) -> Vec<PredictRequest> {
+        ds.train
+            .iter()
+            .take(n)
+            .map(|o| PredictRequest::Raw(o.od))
+            .collect()
+    }
+
+    fn bits(out: &[Result<crate::PredictResponse, ModelError>]) -> Vec<u32> {
+        out.iter()
+            .map(|r| r.as_ref().expect("matched").eta_seconds.to_bits())
+            .collect()
+    }
+
     #[test]
     fn quantized_predictions_track_f32_closely() {
         let (ds, ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
-        let reqs: Vec<PredictRequest> = ds
-            .train
-            .iter()
-            .take(8)
-            .map(|o| PredictRequest::Raw(o.od))
-            .collect();
+        let mut plan = InferencePlan::new(&model, Precision::Int8);
+        let reqs = raw_reqs(&ds, 8);
         let f32_out = model.estimate_batch(&ctx, &ds.net, &reqs, 1);
-        let i8_out = qm.estimate_batch(&ctx, &ds.net, &reqs, 1);
+        let i8_out = plan.estimate_batch(&ctx, &ds.net, &reqs, 1);
         assert_eq!(f32_out.len(), i8_out.len());
         for (a, b) in f32_out.iter().zip(&i8_out) {
             let (a, b) = (a.as_ref().expect("matched"), b.as_ref().expect("matched"));
@@ -376,39 +138,31 @@ mod tests {
     #[test]
     fn quantized_is_bit_deterministic_across_threads_and_batches() {
         let (ds, ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
-        let reqs: Vec<PredictRequest> = ds
-            .train
-            .iter()
-            .take(9)
-            .map(|o| PredictRequest::Raw(o.od))
-            .collect();
-        let serial = qm.estimate_batch(&ctx, &ds.net, &reqs, 1);
+        let reqs = raw_reqs(&ds, 9);
+        let serial = bits(
+            &InferencePlan::new(&model, Precision::Int8).estimate_batch(&ctx, &ds.net, &reqs, 1),
+        );
         for threads in [2usize, 3, 8] {
-            let par = qm.estimate_batch(&ctx, &ds.net, &reqs, threads);
-            for (a, b) in serial.iter().zip(&par) {
-                let (a, b) = (a.as_ref().expect("matched"), b.as_ref().expect("matched"));
-                assert_eq!(a.eta_seconds.to_bits(), b.eta_seconds.to_bits());
-            }
+            let mut plan = InferencePlan::new(&model, Precision::Int8);
+            let par = plan.estimate_batch(&ctx, &ds.net, &reqs, threads);
+            assert_eq!(bits(&par), serial, "threads={threads}");
         }
-        // One-by-one equals batched.
+        // One-by-one on a cold plan equals batched.
         for (i, req) in reqs.iter().enumerate() {
-            let one = qm.estimate_batch(&ctx, &ds.net, std::slice::from_ref(req), 1);
-            assert_eq!(
-                one[0].as_ref().expect("matched").eta_seconds.to_bits(),
-                serial[i].as_ref().expect("matched").eta_seconds.to_bits()
-            );
+            let mut plan = InferencePlan::new(&model, Precision::Int8);
+            let one = plan.estimate_batch(&ctx, &ds.net, std::slice::from_ref(req), 1);
+            assert_eq!(bits(&one), vec![serial[i]]);
         }
     }
 
     #[test]
     fn unmatched_endpoints_fail_per_request() {
         let (ds, ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
+        let mut plan = InferencePlan::new(&model, Precision::Int8);
         let good = ds.train[0].od;
         let mut bad = good;
         bad.origin = deepod_roadnet::Point::new(-1e7, -1e7);
-        let out = qm.estimate_batch(
+        let out = plan.estimate_batch(
             &ctx,
             &ds.net,
             &[PredictRequest::Raw(good), PredictRequest::Raw(bad)],
@@ -419,48 +173,73 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trip_preserves_bits() {
-        let (ds, ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
-        let dir = std::env::temp_dir().join(format!("deepod-quant-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("model.int8");
-        qm.save_to(&path).expect("artifact writes");
-        let loaded = QuantizedModel::load_from(&path).expect("artifact loads");
-        let req = [PredictRequest::Raw(ds.train[0].od)];
-        let a = qm.estimate_batch(&ctx, &ds.net, &req, 1);
-        let b = loaded.estimate_batch(&ctx, &ds.net, &req, 1);
-        assert_eq!(
-            a[0].as_ref().expect("matched").eta_seconds.to_bits(),
-            b[0].as_ref().expect("matched").eta_seconds.to_bits()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_artifact_is_rejected() {
-        let (_ds, _ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
-        let dir = std::env::temp_dir().join(format!("deepod-quant-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("model.int8");
-        qm.save_to(&path).expect("artifact writes");
-        // Flip a payload byte: the checksum footer must reject the load.
-        let mut bytes = std::fs::read(&path).expect("readable");
-        bytes[10] ^= 0xff;
-        std::fs::write(&path, &bytes).expect("writable");
-        assert!(matches!(
-            QuantizedModel::load_from(&path),
-            Err(ModelError::Io(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn size_is_smaller_than_f32_mlps() {
         let (_ds, _ctx, model) = tiny_setup();
-        let qm = QuantizedModel::from_model(&model);
-        assert!(qm.size_bytes() > 0);
-        assert!(qm.size_bytes() < model.size_bytes());
+        let int8 = InferencePlan::new(&model, Precision::Int8);
+        let f32_plan = InferencePlan::new(&model, Precision::F32);
+        assert!(int8.size_bytes() > 0);
+        assert!(int8.size_bytes() < f32_plan.size_bytes());
+        assert!(f32_plan.size_bytes() <= model.size_bytes());
+    }
+
+    /// Answers of the former op-for-op `QuantizedModel` forward on fixed
+    /// untrained models (first eight training ODs), pinned as `f32` bits
+    /// before that forward was folded into the plan. The int8 plan must
+    /// reproduce them exactly, on a cold and on a warm `ocode` memo.
+    #[test]
+    fn int8_plan_reproduces_pinned_quantized_answers() {
+        let golden: [(Variant, EmbeddingInit, [u32; 8]); 3] = [
+            (
+                Variant::Full,
+                EmbeddingInit::Random,
+                [
+                    0x43bc_e9cb,
+                    0x43e9_b1dd,
+                    0x43d7_4a75,
+                    0x43d6_94fa,
+                    0x43df_9a6c,
+                    0x43e9_c0a4,
+                    0x43de_16f9,
+                    0x43c1_a5e2,
+                ],
+            ),
+            (
+                Variant::NoExternal,
+                EmbeddingInit::Random,
+                [
+                    0x43d6_8f6c,
+                    0x43dc_98b3,
+                    0x43dd_4e4e,
+                    0x43e2_b7be,
+                    0x43e0_045b,
+                    0x43e0_434e,
+                    0x43d0_9e78,
+                    0x43e9_cbfa,
+                ],
+            ),
+            (
+                Variant::Full,
+                EmbeddingInit::TimeStamp,
+                [
+                    0x4483_a5f2,
+                    0x44b0_8b8b,
+                    0x44d4_d748,
+                    0x4503_6754,
+                    0x4512_9052,
+                    0x4516_ebc9,
+                    0x451a_d99f,
+                    0x4535_f44d,
+                ],
+            ),
+        ];
+        for (variant, init, want) in golden {
+            let (ds, ctx, model) = tiny_setup_with(variant, init);
+            let mut plan = InferencePlan::new(&model, Precision::Int8);
+            let reqs = raw_reqs(&ds, 8);
+            for pass in ["cold", "warm"] {
+                let got = bits(&plan.estimate_batch(&ctx, &ds.net, &reqs, 1));
+                assert_eq!(got, want, "{variant:?}/{init:?} ({pass} memo)");
+            }
+        }
     }
 }

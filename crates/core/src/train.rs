@@ -7,6 +7,7 @@ use crate::checkpoint::{TrainProgress, TrainingCheckpoint, CHECKPOINT_VERSION};
 use crate::config::DeepOdConfig;
 use crate::features::{EncodedSample, FeatureContext};
 use crate::model::{DeepOdModel, ModelError};
+use crate::plan::{InferencePlan, Precision};
 use deepod_nn::{AdamOptimizer, Gradients, LrSchedule};
 use deepod_roadnet::RoadNetwork;
 use deepod_traj::CityDataset;
@@ -277,29 +278,40 @@ impl<'a> Trainer<'a> {
             return f32::NAN;
         }
         let t = self.threads().min(n).max(1);
-        if t == 1 {
-            let mut acc = 0.0f32;
-            for s in &self.val_samples[..n] {
-                let pred = self.model.eval_encoded(&s.od);
-                acc += (pred - s.travel_time).abs();
-            }
-            return acc / n as f32;
-        }
-        // Per-span partial sums, added back in span order: the total is a
-        // fixed left-to-right sum over spans, deterministic per thread
-        // count.
-        let model = &self.model;
-        let samples = &self.val_samples;
-        let sums = deepod_tensor::parallel::map_ranges(n, t, |span| {
-            let mut local = model.clone();
-            let mut acc = 0.0f32;
-            for s in &samples[span] {
-                let pred = local.eval_encoded(&s.od);
-                acc += (pred - s.travel_time).abs();
-            }
-            acc
-        });
-        sums.into_iter().fold(0.0f32, |a, b| a + b) / n as f32
+        // Predictions come from one f32 plan (bit-identical to the tape,
+        // for any thread count); the sum keeps its fixed shape: a serial
+        // left-to-right sum with one thread, per-span partial sums added
+        // in span order otherwise — deterministic per thread count.
+        let samples = &self.val_samples[..n];
+        let reqs: Vec<crate::PredictRequest> = samples
+            .iter()
+            .map(|s| crate::PredictRequest::Encoded(s.od.clone()))
+            .collect();
+        let preds = InferencePlan::new(&self.model, Precision::F32).estimate_batch(
+            &self.ctx,
+            &self.ds.net,
+            &reqs,
+            t,
+        );
+        let abs_err = |(s, p): (&EncodedSample, &Result<crate::PredictResponse, ModelError>)| {
+            // Context-encoded features cannot be malformed; a NaN makes
+            // the impossible loud instead of silently skipping a sample.
+            p.as_ref()
+                .map_or(f32::NAN, |p| (p.eta_seconds - s.travel_time).abs())
+        };
+        deepod_tensor::parallel::split_ranges(n, t)
+            .into_iter()
+            .map(|span| {
+                let preds = preds.get(span.clone()).unwrap_or(&[]);
+                let samples = samples.get(span).unwrap_or(&[]);
+                samples
+                    .iter()
+                    .zip(preds)
+                    .map(abs_err)
+                    .fold(0.0f32, |acc, e| acc + e)
+            })
+            .fold(0.0f32, |a, b| a + b)
+            / n as f32
     }
 
     /// Summed loss and merged gradients for one minibatch.

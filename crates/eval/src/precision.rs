@@ -7,7 +7,7 @@
 //! sample) always passes; only a MAPE regression beyond the bound fails.
 
 use crate::metrics::{Metrics, MetricsError, PredPair};
-use deepod_core::{DeepOdModel, FeatureContext, PredictRequest, QuantizedModel};
+use deepod_core::{DeepOdModel, FeatureContext, InferencePlan, PredictRequest};
 use deepod_traj::{CityDataset, TaxiOrder};
 
 /// Accuracy bound for selecting the int8 serving path.
@@ -81,13 +81,13 @@ impl PrecisionGate {
         })
     }
 
-    /// Runs both models over `orders` and checks the gate. Orders whose
-    /// endpoints do not match the network are skipped for both models, so
-    /// the two pair sets always cover the same trips.
+    /// Runs the f32 model and the quantized plan over `orders` and checks
+    /// the gate. Orders whose endpoints do not match the network are
+    /// skipped for both, so the two pair sets always cover the same trips.
     pub fn evaluate(
         &self,
         model: &DeepOdModel,
-        quantized: &QuantizedModel,
+        quantized: &mut InferencePlan,
         ctx: &FeatureContext,
         ds: &CityDataset,
         orders: &[TaxiOrder],
@@ -117,7 +117,7 @@ impl PrecisionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepod_core::{DeepOdConfig, EmbeddingInit};
+    use deepod_core::{DeepOdConfig, EmbeddingInit, Precision};
     use deepod_roadnet::CityProfile;
     use deepod_traj::{DatasetBuilder, DatasetConfig};
 
@@ -176,9 +176,9 @@ mod tests {
         };
         let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid slot size");
         let model = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
-        let qm = QuantizedModel::from_model(&model);
+        let mut quantized = InferencePlan::new(&model, Precision::Int8);
         let rep = PrecisionGate::default()
-            .evaluate(&model, &qm, &ctx, &ds, &ds.test, 1)
+            .evaluate(&model, &mut quantized, &ctx, &ds, &ds.test, 1)
             .expect("gate evaluates");
         assert!(rep.passed, "{rep}");
     }

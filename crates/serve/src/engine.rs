@@ -9,7 +9,8 @@
 //! thread (see [`crate::supervisor`]) that coalesces micro-batches —
 //! closing a batch at [`EngineConfig::max_batch`] requests or when the
 //! oldest request has waited [`EngineConfig::max_wait_ms`] — and runs
-//! each batch through [`DeepOdModel::estimate_batch`]. Each reply travels
+//! each batch through the worker's own [`InferencePlan`], built once per
+//! worker so its `ocode` memo persists across batches. Each reply travels
 //! back on a per-request channel wrapped in a [`ReplyHandle`], which
 //! converts a dead reply slot into a typed [`ServeError::WorkerCrashed`]
 //! instead of ever blocking a caller forever.
@@ -27,7 +28,7 @@ use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
 use deepod_core::oracle::OracleKey;
 use deepod_core::{
-    DeepOdModel, FeatureContext, ModelError, PredictRequest, PredictResponse, QuantizedModel,
+    DeepOdModel, FeatureContext, InferencePlan, ModelError, PredictRequest, PredictResponse,
 };
 use deepod_traj::CityDataset;
 
@@ -101,7 +102,10 @@ pub struct EngineConfig {
     /// Largest micro-batch handed to one `estimate_batch` call.
     pub max_batch: usize,
     /// Longest the oldest queued request waits for companions before its
-    /// batch closes anyway (the latency bound of coalescing).
+    /// batch closes anyway (the latency bound of coalescing). The default
+    /// `0` adds no wait: a worker takes whatever is queued when it wakes
+    /// (up to `max_batch`), and at tens of microseconds per request a
+    /// window would only add latency (DESIGN.md §11).
     pub max_wait_ms: u64,
     /// Bounded queue capacity *per worker shard*; beyond it
     /// [`InferenceEngine::try_submit`] rejects and
@@ -127,7 +131,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 64,
-            max_wait_ms: 5,
+            max_wait_ms: 0,
             queue_capacity: 256,
             threads: 0,
             workers: 1,
@@ -140,30 +144,22 @@ impl Default for EngineConfig {
 /// What answers requests: the real model, or the route-tte baseline when
 /// the model could not be loaded (graceful degradation — the process
 /// keeps serving, each reply is marked degraded).
+///
+/// Cloning is cheap where it matters: model parameters are `Arc`-backed
+/// and shared copy-on-write.
+#[derive(Clone)]
 pub enum Backend {
-    /// A loaded DeepOD model; replies are not degraded.
+    /// A loaded DeepOD model; each worker serves it through an f32
+    /// [`InferencePlan`]. Replies are not degraded.
     Model(Box<DeepOdModel>),
-    /// The int8-quantized serving path (`--precision int8`): per-row
-    /// quantized MLP weights, f32 accumulation, tape-free forward.
-    /// Replies are not degraded — selection is gated on eval accuracy.
-    Quantized(Box<QuantizedModel>),
+    /// The int8 serving path (`--precision int8`): an int8
+    /// [`InferencePlan`] (per-row quantized MLP weights, f32
+    /// accumulation) each worker clones. Replies are not degraded —
+    /// selection is gated on eval accuracy.
+    Quantized(Box<InferencePlan>),
     /// The shortest-route-over-historical-speeds fallback (must already be
     /// fit); every reply is marked degraded.
     RouteTte(Box<RouteTtePredictor>),
-}
-
-impl Clone for Backend {
-    /// Copy-on-write replica: `DeepOdModel` / `QuantizedModel` parameters
-    /// are `Arc`-backed, so a clone shares weight storage — this is the
-    /// per-worker replica path and the supervisor's rebuild-after-panic
-    /// path.
-    fn clone(&self) -> Backend {
-        match self {
-            Backend::Model(m) => Backend::Model(m.clone()),
-            Backend::Quantized(m) => Backend::Quantized(m.clone()),
-            Backend::RouteTte(p) => Backend::RouteTte(p.clone()),
-        }
-    }
 }
 
 impl Backend {
@@ -171,7 +167,7 @@ impl Backend {
     pub fn precision_name(&self) -> &'static str {
         match self {
             Backend::Model(_) => "f32",
-            Backend::Quantized(_) => "int8",
+            Backend::Quantized(plan) => plan.precision().name(),
             Backend::RouteTte(_) => "fallback",
         }
     }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! loop {
-//!     replica  = master.clone()            // CoW: Arc-backed weights
+//!     replica  = Replica::of(master)       // fresh plan, Arc-shared weights
 //!     outcome  = catch_unwind(worker_loop(replica))
 //!     Ok(_)    -> return                   // queue closed and drained
 //!     Err(_)   -> counter serve.worker_restarts
@@ -38,7 +38,7 @@ use deepod_traj::CityDataset;
 
 use crate::engine::{Backend, Pending, ServeError, Shared};
 use crate::shed::backoff_ms;
-use crate::worker::worker_loop;
+use crate::worker::{worker_loop, Replica};
 
 /// The pristine copy of everything a worker needs: the supervisor clones
 /// a fresh replica from it on start and after every crash, so a panic
@@ -88,13 +88,13 @@ pub(crate) fn spawn_net(
 fn supervise(shared: &Shared, shard_idx: usize, master: &Master) {
     let mut restarts: u32 = 0;
     loop {
-        let mut backend = master.backend.clone();
+        let mut replica = Replica::of(&master.backend);
         let mut fallback = master.fallback.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             worker_loop(
                 shared,
                 shard_idx,
-                &mut backend,
+                &mut replica,
                 &mut fallback,
                 &master.ctx,
                 &master.ds,

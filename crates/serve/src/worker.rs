@@ -23,11 +23,35 @@ use std::time::{Duration, Instant};
 
 use deepod_baselines::{RouteTtePredictor, TtePredictor};
 use deepod_core::obs::registry;
-use deepod_core::{FeatureContext, ModelError, PredictRequest, PredictResponse};
+use deepod_core::{
+    FeatureContext, InferencePlan, ModelError, Precision, PredictRequest, PredictResponse,
+};
 use deepod_tensor::failpoint;
 use deepod_traj::CityDataset;
 
 use crate::engine::{Backend, EngineReply, Pending, ServeError, Shard, Shared};
+
+/// What one worker answers with, built from the master [`Backend`] when
+/// the worker starts and again after every crash. The plan lives as long
+/// as the worker, so its `ocode` memo carries over from batch to batch —
+/// with the default zero batch window most batches hold one request, and
+/// a per-batch plan would never reuse a code.
+pub(crate) enum Replica {
+    /// The model's inference plan (f32, or the gated int8 plan).
+    Plan(Box<InferencePlan>),
+    /// The route-tte baseline (every answer degraded).
+    RouteTte(Box<RouteTtePredictor>),
+}
+
+impl Replica {
+    pub(crate) fn of(backend: &Backend) -> Replica {
+        match backend {
+            Backend::Model(m) => Replica::Plan(Box::new(InferencePlan::new(m, Precision::F32))),
+            Backend::Quantized(plan) => Replica::Plan(plan.clone()),
+            Backend::RouteTte(p) => Replica::RouteTte(p.clone()),
+        }
+    }
+}
 
 /// The batching loop for shard `shard_idx`: wait for work, coalesce a
 /// micro-batch (size- or deadline-triggered), sweep expired requests, run
@@ -38,7 +62,7 @@ use crate::engine::{Backend, EngineReply, Pending, ServeError, Shard, Shared};
 pub(crate) fn worker_loop(
     shared: &Shared,
     shard_idx: usize,
-    backend: &mut Backend,
+    replica: &mut Replica,
     fallback: &mut Option<RouteTtePredictor>,
     ctx: &FeatureContext,
     ds: &CityDataset,
@@ -109,7 +133,7 @@ pub(crate) fn worker_loop(
             ds,
             threads: config.threads,
         };
-        process_batch(&env, backend, fallback, batch);
+        process_batch(&env, replica, fallback, batch);
     }
 }
 
@@ -144,7 +168,7 @@ struct BatchEnv<'a> {
 /// chaos failpoints, compute, take the batch back, reply in order.
 fn process_batch(
     env: &BatchEnv<'_>,
-    backend: &mut Backend,
+    replica: &mut Replica,
     fallback: &mut Option<RouteTtePredictor>,
     batch: Vec<Pending>,
 ) {
@@ -171,7 +195,7 @@ fn process_batch(
     failpoint::hit("serve::worker_batch");
 
     let results = compute_results(
-        backend,
+        replica,
         fallback,
         env.ctx,
         env.ds,
@@ -221,11 +245,11 @@ fn process_batch(
 
 /// Computes one `(result, degraded)` per request, in slot order. With no
 /// degrade-eligible slots (or no fallback) the whole batch goes through
-/// the backend in a single `estimate_batch` call — the bit-identity path.
+/// the replica in a single `estimate_batch` call — the bit-identity path.
 /// Otherwise model slots still run batched and degrade-eligible slots are
 /// answered by the fallback, merged back in order.
 fn compute_results(
-    backend: &mut Backend,
+    replica: &mut Replica,
     fallback: &mut Option<RouteTtePredictor>,
     ctx: &FeatureContext,
     ds: &CityDataset,
@@ -236,24 +260,19 @@ fn compute_results(
     let split = match fallback {
         // A route-tte primary backend is already the degraded answer;
         // splitting the batch would only recompute the same thing.
-        Some(fb) if !matches!(backend, Backend::RouteTte(_)) => {
+        Some(fb) if !matches!(replica, Replica::RouteTte(_)) => {
             degrade_mask.iter().any(|&m| m).then_some(fb)
         }
         _ => None,
     };
     let Some(fb) = split else {
-        return match backend {
-            Backend::Model(model) => model
+        return match replica {
+            Replica::Plan(plan) => plan
                 .estimate_batch(ctx, &ds.net, reqs, threads)
                 .into_iter()
                 .map(|r| (r, false))
                 .collect(),
-            Backend::Quantized(model) => model
-                .estimate_batch(ctx, &ds.net, reqs, threads)
-                .into_iter()
-                .map(|r| (r, false))
-                .collect(),
-            Backend::RouteTte(predictor) => reqs
+            Replica::RouteTte(predictor) => reqs
                 .iter()
                 .map(|r| (fallback_answer(predictor, r), true))
                 .collect(),
@@ -266,10 +285,9 @@ fn compute_results(
         .filter(|(_, &m)| !m)
         .map(|(r, _)| r.clone())
         .collect();
-    let model_results: Vec<Result<PredictResponse, ModelError>> = match backend {
-        Backend::Model(model) => model.estimate_batch(ctx, &ds.net, &model_reqs, threads),
-        Backend::Quantized(model) => model.estimate_batch(ctx, &ds.net, &model_reqs, threads),
-        Backend::RouteTte(_) => Vec::new(),
+    let model_results: Vec<Result<PredictResponse, ModelError>> = match replica {
+        Replica::Plan(plan) => plan.estimate_batch(ctx, &ds.net, &model_reqs, threads),
+        Replica::RouteTte(_) => Vec::new(),
     };
     let mut model_iter = model_results.into_iter();
     reqs.iter()

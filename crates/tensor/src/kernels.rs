@@ -388,8 +388,19 @@ pub struct QuantizedRows {
 }
 
 /// Quantizes a row-major `[rows, cols]` f32 matrix per row to int8.
+///
+/// `w.len()` must be `rows · cols` (debug-checked, like the matvec
+/// kernels' shapes); with zero columns every row is empty with scale 1.0.
 pub fn quantize_rows(w: &[f32], rows: usize, cols: usize) -> QuantizedRows {
-    assert_eq!(w.len(), rows * cols, "quantize_rows shape mismatch");
+    debug_assert_eq!(w.len(), rows * cols, "quantize_rows shape mismatch");
+    if cols == 0 {
+        return QuantizedRows {
+            q: Vec::new(),
+            scales: vec![1.0; rows],
+            rows,
+            cols,
+        };
+    }
     let mut q = Vec::with_capacity(rows * cols);
     let mut scales = Vec::with_capacity(rows);
     for row in w.chunks(cols) {
@@ -416,14 +427,16 @@ pub fn quantize_rows(w: &[f32], rows: usize, cols: usize) -> QuantizedRows {
 /// once at model-load time, not per request.
 pub fn pack_quantized(qr: &QuantizedRows) -> Vec<i8> {
     let blocks = qr.rows.div_ceil(PR);
-    let mut packed = vec![0i8; blocks * PR * qr.cols];
-    for (bi, i0) in (0..qr.rows).step_by(PR).enumerate() {
-        let pr = (i0 + PR).min(qr.rows) - i0;
-        let panel = &mut packed[bi * PR * qr.cols..(bi + 1) * PR * qr.cols];
-        for r in 0..pr {
-            let row = &qr.q[(i0 + r) * qr.cols..(i0 + r + 1) * qr.cols];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * PR + r] = v;
+    let panel_len = PR * qr.cols;
+    let mut packed = vec![0i8; blocks * panel_len];
+    if panel_len == 0 {
+        return packed;
+    }
+    // Panel `b` holds rows `b·PR ..`; row `r` of it lands at `p·PR + r`.
+    for (panel, rows) in packed.chunks_mut(panel_len).zip(qr.q.chunks(panel_len)) {
+        for (r, row) in rows.chunks(qr.cols).enumerate() {
+            for (slot, &v) in panel.iter_mut().skip(r).step_by(PR).zip(row) {
+                *slot = v;
             }
         }
     }

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 /// because a function moved.
 pub const DEFAULT_ROOTS: [(&str, &str); 13] = [
     ("crates/core/src/model.rs", "estimate_batch"),
-    ("crates/core/src/quantized.rs", "estimate_batch"),
+    ("crates/core/src/plan.rs", "estimate_batch"),
     ("crates/tensor/src/kernels.rs", "matmul"),
     ("crates/tensor/src/kernels.rs", "matvec_bias_act"),
     ("crates/tensor/src/kernels.rs", "matvec_i8_bias_act"),

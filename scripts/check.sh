@@ -97,3 +97,8 @@ stage cache      cargo test -q -p deepod-cli --test serve_cache
 # fixture model — int8 MAPE must stay within the configured delta of f32.
 stage kernels    cargo test -q -p deepod-tensor --test kernel_props
 stage precision  cargo test -q -p deepod-eval precision
+# Benchmark stage: the benchmark package (its own workspace, built
+# against crates/* by path) compiles and passes its unit tests, so a
+# refactor that breaks an API it uses fails this gate instead of the
+# next benchmark run.
+stage perfbench  cargo test --offline --manifest-path perfbench/Cargo.toml
